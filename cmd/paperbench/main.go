@@ -44,9 +44,8 @@
 // -scalereport sweeps the grid over jobs=1,2,4,…,GOMAXPROCS with
 // contention attribution enabled and prints per-width parallel
 // efficiency plus an Amdahl-style breakdown of the serialization by
-// resource (task-queue starvation, aggregator, machine pool, front-end
-// cache, compute dilation), writing the same data as JSON to
-// -scalereport-json.
+// resource (machine pool, front-end cache, compute dilation, idle),
+// writing the same data as JSON to -scalereport-json.
 package main
 
 import (

@@ -94,6 +94,9 @@ func TestParseConfigRejects(t *testing.T) {
 		"BS+LA+NOPE",  // unknown trailing option
 		"TS++LU4",     // empty option
 		"BS+TrS+LU-4", // negative factor
+		"BS+LU3",      // not a power of two
+		"BS+LU6",      // not a power of two
+		"BS+LU32",     // power of two above 16
 	}
 	for _, s := range bad {
 		if _, err := ParseConfig(s); err == nil {

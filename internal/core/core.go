@@ -393,20 +393,14 @@ func ExecuteWidth(c *Compiled, data *Data, width int) (*sim.Metrics, uint64, err
 // counters. Pooled and fresh runs are bit-identical. ob, when it carries
 // a worker timeline, gets the pool get/put windows flagged as
 // block-pool so contention on the shared per-benchmark pool is visible
-// on the worker's state lane; nil ob adds a single nil check. ob's Lane
-// doubles as the pool shard hint, giving each engine worker lock and
-// machine affinity with its own shard.
+// on the worker's state lane; nil ob adds a single nil check.
 func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.Obs) (met *sim.Metrics, sum uint64, reused bool, err error) {
 	var m *sim.Machine
-	lane := 0
-	if ob != nil {
-		lane = ob.Lane
-	}
 	if pool == nil {
 		m, err = sim.New(c.Fn)
 	} else {
 		ob.State(obs.StateBlockPool)
-		m, reused, err = pool.GetLane(c.Fn, lane)
+		m, reused, err = pool.Get(c.Fn)
 		ob.State(obs.StateRun)
 	}
 	if err != nil {
@@ -421,7 +415,7 @@ func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.O
 	sum = Checksum(m, c)
 	if pool != nil {
 		ob.State(obs.StateBlockPool)
-		pool.PutLane(m, lane)
+		pool.Put(m)
 		ob.State(obs.StateRun)
 	}
 	return met, sum, reused, nil
@@ -471,7 +465,9 @@ func Reference(p *hlir.Program, data *Data) (uint64, error) {
 // ParseConfig parses a configuration name in the tables' notation: "BS",
 // "TS", "BF" or "AUTO" optionally followed by "+LA", "+TrS" and "+LUn"
 // options in any order (e.g. "BS+LA+TrS+LU8"). It is the inverse of
-// Config.Name.
+// Config.Name. Unrolling supports power-of-two factors only, and n is
+// capped at 16 because the serving layer parses configs from untrusted
+// clients and compile time grows with the factor.
 func ParseConfig(s string) (Config, error) {
 	cfg := Config{}
 	for i, part := range strings.Split(s, "+") {
@@ -496,8 +492,8 @@ func ParseConfig(s string) (Config, error) {
 			cfg.Trace = true
 		case strings.HasPrefix(part, "LU"):
 			n, err := strconv.Atoi(part[2:])
-			if err != nil || n < 2 {
-				return cfg, fmt.Errorf("core: bad unroll factor in %q", s)
+			if err != nil || (n != 2 && n != 4 && n != 8 && n != 16) {
+				return cfg, fmt.Errorf("core: bad unroll factor in %q (want 2, 4, 8 or 16)", s)
 			}
 			cfg.Unroll = n
 		default:

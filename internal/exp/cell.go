@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -20,9 +19,6 @@ import (
 type CellRunner struct {
 	mu  sync.Mutex
 	fes map[string]*frontEnd
-	// lane rotates per request so concurrent server cells spread across
-	// the sharded machine pool instead of hammering shard 0.
-	lane atomic.Uint64
 }
 
 // NewCellRunner returns a runner with no front-ends built yet.
@@ -51,7 +47,7 @@ func (cr *CellRunner) Run(ctx context.Context, bench string, cfg core.Config, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := runCellAttempts(ctx, fe, cellSpec{cfg: cfg}, opt, int(cr.lane.Add(1)-1)%64)
+	r := runCellAttempts(ctx, fe, cellSpec{cfg: cfg}, opt, 0)
 	res := &Result{
 		Bench:   r.bench,
 		Config:  r.cfg,

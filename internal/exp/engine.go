@@ -22,29 +22,22 @@ import (
 )
 
 // This file is the cell-parallel experiment engine. The grid's unit of
-// work is one (benchmark, configuration) cell, not one benchmark. The
-// engine is built so that no stage serializes the workers (the scale
-// report measured the old single-aggregator design flat-lining at
-// GOMAXPROCS):
+// work is one (benchmark, configuration) cell, not one benchmark:
 //
-//   - the task queue is sharded into per-worker deques with work
-//     stealing — a worker pops its own contiguous chunk from the front
-//     (keeping benchmark affinity) and steals from the back of a
-//     sibling's deque when its own runs dry, so wide widths do not
-//     starve behind a single channel;
 //   - benchmark front-ends (workload build + reference interpretation +
 //     edge-profile cache) are built in parallel as a pre-phase, one
-//     builder per benchmark, instead of lazily under a shared
-//     once-lock on the first cell that needs them;
-//   - finished cells land in per-worker result buffers — no aggregator
-//     goroutine, no result channel — and are merged deterministically
-//     (by task index) on the caller's goroutine after the workers join,
-//     so tables are byte-identical at every width by construction;
-//   - the JSONL journal is written by a batched asynchronous writer fed
-//     from a bounded queue, keeping disk latency off the workers' hot
-//     path while preserving the torn-tail/-resume contract;
-//   - each sim.Pool is sharded per worker lane, so the machine-pool
-//     mutex vanishes from the steady-state path.
+//     builder per benchmark, so no worker blocks on another's once-lock
+//     during the grid proper;
+//   - workers self-schedule from one shared atomic cursor over the task
+//     queue (OpenMP's "dynamic" schedule): each claims the next unclaimed
+//     cell, so the queue's benchmark order is kept and no worker starves
+//     while cells remain;
+//   - each finished cell lands in its own slot of a results slice indexed
+//     by queue position, and the caller finalizes that slice in order
+//     after the workers join, so tables are byte-identical at every width
+//     by construction;
+//   - the JSONL journal is appended synchronously, one whole line per
+//     cell, as each cell finishes.
 //
 // The main grid (Run), the extension grids (E1/E2/E3) and the fuzzing
 // harness all execute through runGrid.
@@ -81,10 +74,10 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Contention, when non-nil, enables contention attribution: each
 	// worker records a busy/blocked state timeline (running a cell,
-	// starved for work, blocked on the aggregator, the machine pool or a
-	// front-end build) and every shared resource wraps its blocking
-	// operation in a named wait histogram. Off (nil) it costs one nil
-	// check per site and zero allocations.
+	// blocked on the machine pool or a front-end build, or idle) and
+	// every shared resource wraps its blocking operation in a named wait
+	// histogram. Off (nil) it costs one nil check per site and zero
+	// allocations.
 	Contention *obs.Contention
 	// Observe enables the per-cell counter registry: each cell collects
 	// compiler counters (dag/sched/regalloc/unroll/...), simulator
@@ -131,7 +124,6 @@ type cellSpec struct {
 
 // cellResult is one completed (or failed) cell.
 type cellResult struct {
-	idx    int // position in the task queue; the deterministic merge key
 	bench  string
 	cfg    core.Config
 	mets   map[int]*sim.Metrics // by issue width; nil when the cell failed
@@ -409,105 +401,21 @@ func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, opt Op
 	}
 }
 
-// task is one queued cell, stamped with its queue position so the
-// end-of-run merge can restore deterministic order regardless of which
-// worker executed it.
+// task is one queued cell.
 type task struct {
-	idx  int
 	fe   *frontEnd
 	spec cellSpec
-}
-
-// taskDeque is one worker's shard of the task queue. The owner pops from
-// the front (preserving the contiguous, benchmark-affine chunk order);
-// thieves steal from the back, so owner and thief contend on opposite
-// ends and a steal takes the task the owner would reach last. The lock
-// is a TimedMutex attributed to the "taskqueue" wait histogram, so
-// residual deque contention stays measurable.
-type taskDeque struct {
-	mu    obs.TimedMutex
-	tasks []task
-	head  int // owner pops here
-	tail  int // exclusive; thieves steal here
-}
-
-// popFront takes the owner's next task.
-func (d *taskDeque) popFront() (task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= d.tail {
-		return task{}, false
-	}
-	t := d.tasks[d.head]
-	d.head++
-	return t, true
-}
-
-// stealBack takes a task from the victim's far end.
-func (d *taskDeque) stealBack() (task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= d.tail {
-		return task{}, false
-	}
-	d.tail--
-	return d.tasks[d.tail], true
-}
-
-// shardTasks deals queue into n contiguous chunks: cells of one
-// benchmark are adjacent in queue order, so contiguous chunks give each
-// worker front-end and pool-shard affinity, with stealing rebalancing
-// the tail.
-func shardTasks(queue []task, n int) []*taskDeque {
-	deques := make([]*taskDeque, n)
-	chunk := (len(queue) + n - 1) / n
-	for w := 0; w < n; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo > len(queue) {
-			lo = len(queue)
-		}
-		if hi > len(queue) {
-			hi = len(queue)
-		}
-		deques[w] = &taskDeque{tasks: queue, head: lo, tail: hi}
-	}
-	return deques
-}
-
-// stealTask scans every other deque, starting after the thief's own
-// lane, and steals the first available task. attempts reports how many
-// victims were probed (empty-handed probes included).
-func stealTask(deques []*taskDeque, lane int) (t task, attempts int, ok bool) {
-	n := len(deques)
-	for i := 1; i < n; i++ {
-		v := (lane + i) % n
-		attempts++
-		if t, ok = deques[v].stealBack(); ok {
-			return t, attempts, true
-		}
-	}
-	return task{}, attempts, false
-}
-
-// workerTally is one worker's sharded output: its completed cells (in
-// execution order, sorted into queue order during the merge state) and
-// its steal statistics, merged into the engine counters at the end.
-type workerTally struct {
-	results       []cellResult
-	steals        int64
-	stealAttempts int64
 }
 
 // runGrid executes every (benchmark, spec) cell under opt and feeds
 // completed cells to emit, which runs on the caller's goroutine after
 // the workers join, in deterministic queue order (resumed cells first,
-// then live cells by task index). Failed cells arrive at emit too (with
-// cellResult.err set); when any cell failed, runGrid returns a
+// then live cells by queue position). Failed cells arrive at emit too
+// (with cellResult.err set); when any cell failed, runGrid returns a
 // *GridError after the whole grid has drained. eng, when non-nil,
 // receives the engine's robustness counters (cell panics, timeouts,
-// retries, errors, resumes, steals, verification failures); it is only
-// touched from the caller's goroutine.
+// retries, errors, resumes, verification failures); it is only touched
+// from the caller's goroutine.
 func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *obs.Stats, emit func(cellResult)) error {
 	fes := make([]*frontEnd, len(benches))
 	for i, b := range benches {
@@ -539,27 +447,19 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	// Pre-register every attributable resource, so an uncontended run
 	// reports zero-count series rather than omitting them (absence must
 	// mean "attribution off", never "no waits").
-	taskWait := opt.Contention.Hist("taskqueue")
-	opt.Contention.Hist("aggregator") // retired stage; stays at zero
 	opt.Contention.Hist("pool")
 	opt.Contention.Hist("frontend")
-	stealWait := opt.Contention.Hist("steal")
-	mergeWait := opt.Contention.Hist("merge")
 
-	var jw *journalWriter
-	if opt.Journal != "" {
-		w, err := openJournal(opt.Journal, opt.Contention.Hist("journal"))
-		if err != nil {
-			return err
-		}
-		jw = w
+	jw, err := OpenJSONLWriter[journalEntry](opt.Journal)
+	if err != nil {
+		return err
 	}
 
 	total := len(benches) * len(specs)
 	var failed []*CellError
-	// finalize runs on the caller's goroutine — pre-worker for resumed
-	// cells, during the merge for live ones — and owns eng, failed and
-	// emit.
+	// finalize runs on the caller's goroutine — before the workers start
+	// for resumed cells, after they join for live ones — and owns eng,
+	// failed and emit.
 	finalize := func(r cellResult) {
 		if eng != nil {
 			eng.Add("exp/cell_panics", int64(r.panics))
@@ -598,23 +498,23 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		opt.Progress(done, total, r.bench, r.cfg.Name())
 		progMu.Unlock()
 	}
-	// journal appends a finished live cell to the async writer; called
-	// from workers at completion time so an interrupted run has every
-	// finished cell on disk once the writer drains.
+	// journal appends a finished live cell; called from workers at
+	// completion time so an interrupted run has every finished cell on
+	// disk.
 	journal := func(r *cellResult) {
-		if jw == nil || r.resumed {
+		if jw == nil {
 			return
 		}
 		e := journalEntry{Bench: r.bench, Config: r.cfg.Name(), Widths: r.mets, Phases: r.phases, Obs: r.snap}
 		if r.err != nil {
 			e.Error = r.err.Error()
 		}
-		jw.append(e)
+		jw.Append(e)
 	}
 
 	// Partition cells into journal replays and live work. Replays are
-	// finalized immediately, in queue order; live tasks get their queue
-	// index as the deterministic merge key.
+	// finalized immediately, in grid order; live cells are queued in the
+	// same order.
 	var queue []task
 	for _, fe := range fes {
 		for _, spec := range specs {
@@ -628,15 +528,17 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 				progress(&r)
 				continue
 			}
-			queue = append(queue, task{idx: len(queue), fe: fe, spec: spec})
+			queue = append(queue, task{fe: fe, spec: spec})
 		}
 	}
 
 	ctx := opt.ctx()
 	nw := opt.jobs()
-	deques := shardTasks(queue, nw)
-	for w := range deques {
-		deques[w].mu.H = taskWait
+	// Start every worker's state timeline now, so a worker that builds no
+	// front-end records the pre-phase as idle instead of leaving it out of
+	// its lifetime (the scale report's partition would miss it).
+	for w := 0; w < nw; w++ {
+		opt.Contention.Lane(w)
 	}
 
 	// Front-end pre-phase: build every live benchmark's front-end in
@@ -679,7 +581,12 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		fwg.Wait()
 	}
 
-	tallies := make([]workerTally, nw)
+	// Dynamic self-scheduling: each worker claims the next queue position
+	// from the shared cursor and writes the cell into that position's
+	// result slot, so no two workers touch the same slot and the slice is
+	// in queue order when they join.
+	results := make([]cellResult, len(queue))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
@@ -687,24 +594,12 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		go func(lane int) {
 			defer wg.Done()
 			tl := opt.Contention.Lane(lane)
-			tally := &tallies[lane]
 			for {
-				t, ok := deques[lane].popFront()
-				if !ok {
-					// Own deque dry: steal from a sibling. One failed
-					// scan terminates the worker — tasks are only ever
-					// removed, so an empty sweep cannot race new work.
-					tl.Set(obs.StateSteal)
-					start := time.Now()
-					var attempts int
-					t, attempts, ok = stealTask(deques, lane)
-					stealWait.Observe(time.Since(start))
-					tally.stealAttempts += int64(attempts)
-					if !ok {
-						break
-					}
-					tally.steals++
+				i := int(next.Add(1) - 1)
+				if i >= len(queue) {
+					break
 				}
+				t := queue[i]
 				// A dead run context skips queued cells without starting
 				// them: each becomes a canceled CellError so the grid
 				// still accounts for every cell and the journal records
@@ -724,40 +619,17 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 					tl.Set(obs.StateRun)
 					r = runCellAttempts(ctx, t.fe, t.spec, opt, lane)
 				}
-				r.idx = t.idx
 				journal(r)
-				tally.results = append(tally.results, *r)
+				results[i] = *r
 				progress(r)
 			}
-			// Merge state: sort this worker's shard into queue order so
-			// the caller's merge is a cheap concatenation-and-sort of
-			// pre-sorted runs.
-			tl.Set(obs.StateMerge)
-			sort.Slice(tally.results, func(a, b int) bool {
-				return tally.results[a].idx < tally.results[b].idx
-			})
 			tl.Set(obs.StateIdle)
 		}(w)
 	}
 	wg.Wait()
-
-	// Deterministic merge on the caller's goroutine: concatenate the
-	// per-worker buffers and restore queue order by task index. The
-	// result set is identical at every worker count by construction.
-	mergeStart := time.Now()
-	var live []cellResult
-	for w := range tallies {
-		live = append(live, tallies[w].results...)
-		if eng != nil {
-			eng.Add("exp/steals", tallies[w].steals)
-			eng.Add("exp/steal_attempts", tallies[w].stealAttempts)
-		}
+	for i := range results {
+		finalize(results[i])
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].idx < live[b].idx })
-	for i := range live {
-		finalize(live[i])
-	}
-	mergeWait.Observe(time.Since(mergeStart))
 
 	// Workers have exited, so the state timelines are final: export them
 	// into the span trace as their own lanes, so one Perfetto load shows
@@ -765,10 +637,8 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	if opt.Tracer != nil && opt.Contention != nil {
 		opt.Tracer.AddEvents(opt.Contention.Timelines.Events())
 	}
-	if jw != nil {
-		if err := jw.close(); err != nil {
-			return err
-		}
+	if err := jw.Close(); err != nil {
+		return err
 	}
 	if len(failed) > 0 {
 		sort.Slice(failed, func(a, b int) bool {

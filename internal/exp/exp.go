@@ -73,8 +73,8 @@ type Result struct {
 	Err *CellError
 }
 
-// Suite holds a full grid of results. It is filled by a single aggregator
-// goroutine during Run and read-only afterwards.
+// Suite holds a full grid of results. It is filled on the caller's
+// goroutine after the grid's workers join and is read-only afterwards.
 type Suite struct {
 	// Benchmarks lists benchmark names in table order.
 	Benchmarks []string
@@ -138,7 +138,7 @@ func Run(names []string, progress func(string)) (*Suite, error) {
 	if progress != nil {
 		cells := len(Cells())
 		perBench := map[string]int{}
-		// Called from the engine's single aggregator goroutine.
+		// The engine serializes Progress calls, so perBench needs no lock.
 		opt.Progress = func(done, total int, bench, config string) {
 			perBench[bench]++
 			if perBench[bench] == cells {

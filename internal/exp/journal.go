@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -26,112 +27,72 @@ type journalEntry struct {
 	Error  string               `json:"error,omitempty"`
 }
 
-// journalWriter appends entries to the cell journal as cells finish.
-// Writing is asynchronous and batched: workers enqueue finished cells on
-// a buffered channel and a dedicated writer goroutine drains it, packing
-// whatever is queued into one Write call of complete lines — so journal
-// I/O leaves the workers' hot path entirely, and a slow disk shows up as
-// bounded back-pressure on the queue (attributed to the "journal" wait
-// histogram) rather than as a serial stage. The torn-tail contract is
-// unchanged: every Write consists only of whole lines, so a crash can
-// tear at most the final line, which ReadJSONLines already tolerates,
-// and close flushes every enqueued entry before returning — an
-// interrupted-but-drained run journals every cell exactly once. Errors
-// are sticky and surfaced once at close.
-type journalWriter struct {
-	f    *os.File
-	ch   chan journalEntry
-	done chan struct{}
-	// err is written only by the writer goroutine and read after done is
-	// closed, which orders the accesses.
+// JSONLWriter appends values to a JSONL journal. Every journal in the
+// system — the grid engine's cell journal, bschedd's request journal,
+// the fleet coordinator's cell journal — writes through it and reads
+// back through ReadJSONLines. Each Append writes one whole line in one
+// Write call under a mutex, so concurrent appenders never interleave
+// and a crash can tear at most the final line, which ReadJSONLines
+// tolerates. Errors are sticky: the first one drops every later append
+// and is returned by Close. A nil *JSONLWriter (no path configured)
+// discards.
+type JSONLWriter[T any] struct {
+	mu  sync.Mutex
+	f   *os.File
 	err error
-	// wait, when non-nil, records worker time blocked on a full queue.
-	wait *obs.WaitHist
 }
 
-// journalQueueDepth bounds the writer's in-flight entries; a full queue
-// back-pressures workers instead of growing without bound.
-const journalQueueDepth = 256
-
-// journalBatchBytes caps how many marshaled bytes one Write call packs.
-const journalBatchBytes = 1 << 20
-
-func openJournal(path string, wait *obs.WaitHist) (*journalWriter, error) {
+// OpenJSONLWriter opens path for appending, creating it if needed. An
+// empty path returns a nil writer, which discards.
+func OpenJSONLWriter[T any](path string) (*JSONLWriter[T], error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &journalWriter{
-		f:    f,
-		ch:   make(chan journalEntry, journalQueueDepth),
-		done: make(chan struct{}),
-		wait: wait,
-	}
-	go w.run()
-	return w, nil
+	return &JSONLWriter[T]{f: f}, nil
 }
 
-// append enqueues one entry; safe from any worker goroutine. Blocking on
-// a full queue is attributed to the journal wait histogram.
-func (w *journalWriter) append(e journalEntry) {
-	obs.TimedSend(w.ch, e, w.wait)
-}
-
-// run is the writer goroutine: it blocks for the next entry, then
-// opportunistically drains everything else already queued into the same
-// batch before issuing a single Write of complete lines.
-func (w *journalWriter) run() {
-	defer close(w.done)
-	var buf []byte
-	add := func(e journalEntry) {
-		if w.err != nil {
-			return
-		}
-		b, err := json.Marshal(e)
-		if err != nil {
-			w.err = err
-			return
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
+// Append writes v as one line. Safe for concurrent use.
+func (w *JSONLWriter[T]) Append(v T) {
+	if w == nil {
+		return
 	}
-	flush := func() {
-		if len(buf) > 0 && w.err == nil {
-			if _, err := w.f.Write(buf); err != nil {
-				w.err = err
-			}
-		}
-		buf = buf[:0]
-	}
-	for e := range w.ch {
-		add(e)
-	batch:
-		for len(buf) < journalBatchBytes {
-			select {
-			case e2, ok := <-w.ch:
-				if !ok {
-					break batch
-				}
-				add(e2)
-			default:
-				break batch
-			}
-		}
-		flush()
-	}
-	flush()
-}
-
-// close flushes every enqueued entry, stops the writer goroutine and
-// closes the file, returning the first sticky error.
-func (w *journalWriter) close() error {
-	close(w.ch)
-	<-w.done
-	cerr := w.f.Close()
+	b, err := json.Marshal(v)
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
-		return w.err
+		return
 	}
-	return cerr
+	if err != nil {
+		w.err = err
+		return
+	}
+	if _, err := w.f.Write(append(b, '\n')); err != nil {
+		w.err = err
+	}
+}
+
+// Close syncs and closes the file, returning the first sticky append
+// error, else the sync or close error.
+func (w *JSONLWriter[T]) Close() error {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	serr := w.f.Sync()
+	cerr := w.f.Close()
+	switch {
+	case w.err != nil:
+		return w.err
+	case serr != nil:
+		return serr
+	default:
+		return cerr
+	}
 }
 
 // readJournal loads a cell journal for -resume. A missing file is an

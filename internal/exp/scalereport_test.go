@@ -47,11 +47,14 @@ func TestRunScaleReport(t *testing.T) {
 	}
 
 	for _, sw := range rep.Widths {
-		for _, key := range []string{"wait-work", "block-aggregator", "block-pool",
-			"block-frontend", "compute-dilation", "idle"} {
+		keys := []string{"block-pool", "block-frontend", "compute-dilation", "idle"}
+		for _, key := range keys {
 			if _, ok := sw.Attribution[key]; !ok {
 				t.Errorf("jobs=%d: attribution missing %q", sw.Jobs, key)
 			}
+		}
+		if len(sw.Attribution) != len(keys) {
+			t.Errorf("jobs=%d: attribution keys %v, want exactly %v", sw.Jobs, sw.Attribution, keys)
 		}
 		// Attribution must explain the gap: |other| small relative to the
 		// gap or absolutely tiny.
@@ -143,7 +146,7 @@ func TestGridContentionInstruments(t *testing.T) {
 	for _, ws := range c.Waits.Snapshot() {
 		waits[ws.Resource] = true
 	}
-	for _, want := range []string{"taskqueue", "aggregator", "pool", "frontend"} {
+	for _, want := range []string{"pool", "frontend"} {
 		if !waits[want] {
 			t.Errorf("wait histogram %q not registered (got %v)", want, waits)
 		}

@@ -1,87 +1,35 @@
 package fleet
 
 import (
-	"container/list"
 	"context"
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"repro/internal/server"
 )
 
-// cacheTier is the coordinator's shared result cache: a content-addressed
-// LRU over served cell bytes, keyed by the same cell key the workers use
-// (bench|config[|verify] — the corpus is part of the benchmark identity,
-// so the key is content-addressed end to end). Every cell the fleet
-// serves is promoted here, and the failover path consults it — then the
-// surviving workers' own caches — before recomputing, so a worker death
-// stops costing recomputation of everything it had already served.
+// This file is the coordinator's shared result cache: a content-addressed
+// LRU (server.LRU) over served cell bytes, keyed by the same cell key the
+// workers use (bench|config[|verify] — the corpus is part of the
+// benchmark identity, so the key is content-addressed end to end). Every
+// cell the fleet serves is promoted here, and the failover path consults
+// it — then the surviving workers' own caches — before recomputing, so a
+// worker death stops costing recomputation of everything it had already
+// served.
 //
 // The result documents are deterministic (no wall clock, no randomness),
 // which is what makes a tier hit safe: cached bytes are byte-identical
 // to what a cold recompute would produce.
-type cacheTier struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recent
-	m   map[string]*list.Element
-}
 
-type tierEntry struct {
-	key  string
-	body []byte
-}
-
-func newCacheTier(capacity int) *cacheTier {
-	return &cacheTier{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[string]*list.Element, capacity),
-	}
-}
-
-func (t *cacheTier) get(key string) ([]byte, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.m[key]
-	if !ok {
-		return nil, false
-	}
-	t.ll.MoveToFront(el)
-	return el.Value.(*tierEntry).body, true
-}
-
-func (t *cacheTier) put(key string, body []byte) {
+// promote records a served cell's bytes in the shared tier. An empty
+// body is never cached.
+func (c *Coordinator) promote(key string, body []byte) {
 	if len(body) == 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.m[key]; ok {
-		el.Value.(*tierEntry).body = body
-		t.ll.MoveToFront(el)
-		return
-	}
-	t.m[key] = t.ll.PushFront(&tierEntry{key: key, body: body})
-	for t.ll.Len() > t.cap {
-		el := t.ll.Back()
-		t.ll.Remove(el)
-		delete(t.m, el.Value.(*tierEntry).key)
-	}
-}
-
-func (t *cacheTier) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ll.Len()
-}
-
-// promote records a served cell's bytes in the shared tier.
-func (c *Coordinator) promote(key string, body []byte) {
-	c.tier.put(key, body)
+	c.tier.Add(key, body)
 }
 
 // tierLookup is the failover path's recompute-avoidance check: the
@@ -93,7 +41,7 @@ func (c *Coordinator) promote(key string, body []byte) {
 // promoted into the local tier so the next failover of the same cell is
 // a local hit. Returns the bytes and a worker label for attribution.
 func (c *Coordinator) tierLookup(ctx context.Context, key string) ([]byte, string, bool) {
-	if body, ok := c.tier.get(key); ok {
+	if body, ok := c.tier.Get(key); ok {
 		c.stats.Inc("fleet/cache_hits")
 		c.stats.Inc("fleet/cache_local_hits")
 		c.stats.Inc("fleet/recompute_avoided")

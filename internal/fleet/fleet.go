@@ -61,6 +61,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -189,10 +190,10 @@ func (w *worker) backOff(now time.Time, d time.Duration) {
 type Coordinator struct {
 	cfg     Config
 	members *membership
-	tier    *cacheTier
+	tier    *server.LRU // shared result-cache tier (cachetier.go)
 	stats   *obs.SyncStats
 	client  *http.Client
-	jnl     *cellJournal
+	jnl     *exp.JSONLWriter[CellRecord]
 	resumed map[string][]byte
 
 	reqSeq atomic.Uint64
@@ -286,7 +287,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}}
 	}
 
-	jnl, err := openCellJournal(cfg.Journal)
+	jnl, err := exp.OpenJSONLWriter[CellRecord](cfg.Journal)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		members:     newMembership(cfg.VNodes),
-		tier:        newCacheTier(cfg.CacheEntries),
+		tier:        server.NewLRU(cfg.CacheEntries),
 		stats:       obs.NewSyncStats(),
 		client:      client,
 		jnl:         jnl,
@@ -497,7 +498,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		<-done
 	}
 	c.probeWG.Wait()
-	c.closeJnl.Do(func() { c.jnlErr = c.jnl.close() })
+	c.closeJnl.Do(func() { c.jnlErr = c.jnl.Close() })
 	return c.jnlErr
 }
 

@@ -114,7 +114,7 @@ func (c *Coordinator) journalCell(id string, dr dispatchResult, dur time.Duratio
 	} else {
 		rec.Body = json.RawMessage(dr.body)
 	}
-	c.jnl.append(rec)
+	c.jnl.Append(rec)
 }
 
 func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -508,7 +508,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gw.Gauge(c.cfg.MetricsPrefix+"fleet_workers_healthy", nil, int64(c.healthyCount()))
 	gw.Gauge(c.cfg.MetricsPrefix+"fleet_min_workers", nil, int64(c.cfg.MinWorkers))
 	gw.Gauge(c.cfg.MetricsPrefix+"fleet_epoch", nil, int64(c.members.generation()))
-	gw.Gauge(c.cfg.MetricsPrefix+"fleet_cache_entries", nil, int64(c.tier.len()))
+	gw.Gauge(c.cfg.MetricsPrefix+"fleet_cache_entries", nil, int64(c.tier.Len()))
 	gw.Gauge(c.cfg.MetricsPrefix+"draining", nil, draining)
 	for _, wk := range c.members.all() {
 		label := map[string]string{"worker": wk.addr}
@@ -548,7 +548,7 @@ func (c *Coordinator) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 			"fleet_workers_healthy": int64(c.healthyCount()),
 			"fleet_min_workers":     int64(c.cfg.MinWorkers),
 			"fleet_epoch":           int64(c.members.generation()),
-			"fleet_cache_entries":   int64(c.tier.len()),
+			"fleet_cache_entries":   int64(c.tier.Len()),
 			"draining":              draining,
 		},
 		Workers: c.workerStatuses(),

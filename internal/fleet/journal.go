@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"os"
-	"sync"
 
 	"repro/internal/exp"
 )
@@ -36,63 +34,6 @@ type CellRecord struct {
 	Body json.RawMessage `json:"body,omitempty"`
 	// DurationMS is the cell's dispatch wall-clock.
 	DurationMS int64 `json:"duration_ms"`
-}
-
-// cellJournal appends records as JSONL from concurrent dispatchers.
-// Errors are sticky and surfaced at close. A nil *cellJournal discards.
-type cellJournal struct {
-	mu  sync.Mutex
-	f   *os.File
-	err error
-}
-
-func openCellJournal(path string) (*cellJournal, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &cellJournal{f: f}, nil
-}
-
-func (j *cellJournal) append(rec CellRecord) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		j.err = err
-		return
-	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		j.err = err
-	}
-}
-
-func (j *cellJournal) close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	switch {
-	case j.err != nil:
-		return j.err
-	case serr != nil:
-		return serr
-	default:
-		return cerr
-	}
 }
 
 // loadResume reads a cell journal through the shared torn-tail-tolerant

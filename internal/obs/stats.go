@@ -13,9 +13,9 @@ import (
 // carries the whole compilation pipeline's self-measurement.
 //
 // A Stats is not goroutine-safe: the experiment engine creates one per
-// (benchmark, configuration) cell, threads it through that cell's
-// single-goroutine compilation, and merges the resulting snapshots in its
-// single aggregator goroutine. A nil *Stats is a valid disabled registry:
+// (benchmark, configuration) cell attempt, threads it through that
+// cell's single-goroutine compilation, and stores the resulting snapshot
+// on the cell's result. A nil *Stats is a valid disabled registry:
 // Add/Inc/Observe on nil are no-ops.
 type Stats struct {
 	c map[string]int64

@@ -10,8 +10,8 @@ import (
 
 // This file is the wait-histogram half of the contention-attribution
 // subsystem: every shared resource on the experiment engine's hot path
-// (front-end cache, aggregator channel, machine pool, journal) wraps its
-// blocking operation in one of these helpers, so a slow parallel run
+// (front-end cache, machine pool) wraps its blocking operation in one of
+// these helpers, so a slow parallel run
 // decomposes into named per-resource wait-time distributions instead of
 // an undifferentiated gap. WaitHist is lock-free (atomics only) because
 // the whole point is to measure contention without adding a new lock to
@@ -67,8 +67,7 @@ func (h *WaitHist) Observe(d time.Duration) {
 // WaitSnapshot is the serializable state of one resource's wait
 // histogram.
 type WaitSnapshot struct {
-	// Resource names the contended resource ("frontend", "aggregator",
-	// "pool", "journal", "taskqueue", ...).
+	// Resource names the contended resource ("frontend", "pool", ...).
 	Resource string `json:"resource"`
 	// Count is the number of recorded waits.
 	Count int64 `json:"count"`
@@ -78,9 +77,6 @@ type WaitSnapshot struct {
 	// Buckets[i] counts waits ≤ 2^i ns; trailing zero buckets trimmed.
 	Buckets []int64 `json:"buckets,omitempty"`
 }
-
-// Seconds is the total recorded wait in seconds.
-func (s WaitSnapshot) Seconds() float64 { return float64(s.SumNS) / 1e9 }
 
 // Snapshot freezes the histogram. Nil snapshots to a zero-count
 // snapshot.
@@ -202,39 +198,3 @@ func (m *TimedMutex) Lock() {
 
 // Unlock releases the mutex.
 func (m *TimedMutex) Unlock() { m.mu.Unlock() }
-
-// TimedSend sends v on ch, attributing blocked time to h — the
-// one-liner for the engine's single-aggregator channel. The non-blocking
-// fast path costs no clock read; h nil degrades to a plain send.
-func TimedSend[T any](ch chan<- T, v T, h *WaitHist) {
-	if h == nil {
-		ch <- v
-		return
-	}
-	select {
-	case ch <- v:
-		return
-	default:
-	}
-	start := time.Now()
-	ch <- v
-	h.Observe(time.Since(start))
-}
-
-// TimedRecv receives from ch, attributing blocked time to h; ok is
-// false when ch is closed and drained (like a plain receive).
-func TimedRecv[T any](ch <-chan T, h *WaitHist) (v T, ok bool) {
-	if h == nil {
-		v, ok = <-ch
-		return v, ok
-	}
-	select {
-	case v, ok = <-ch:
-		return v, ok
-	default:
-	}
-	start := time.Now()
-	v, ok = <-ch
-	h.Observe(time.Since(start))
-	return v, ok
-}

@@ -1,16 +1,13 @@
 package server
 
-import (
-	"encoding/json"
-	"os"
-	"sync"
-)
-
 // journalRecord is one line of the request journal: the outcome of one
-// admitted request, appended as the request finishes. The journal is the
-// serving analog of the experiment engine's cell journal — after a drain
-// it holds a complete record of every admitted request, including the
-// ones the drain deadline canceled.
+// admitted request, appended as the request finishes through the shared
+// exp.JSONLWriter. The journal is the serving analog of the experiment
+// engine's cell journal — after a drain it holds a complete record of
+// every admitted request, including the ones the drain deadline
+// canceled. All writes happen while the server's in-flight accounting
+// holds the request open, so Drain's close observes every admitted
+// request already journaled.
 type journalRecord struct {
 	// ID is the request ID (X-Request-Id or generated).
 	ID string `json:"id"`
@@ -27,65 +24,4 @@ type journalRecord struct {
 	Kind string `json:"kind,omitempty"`
 	// DurationMS is request wall-clock in milliseconds.
 	DurationMS int64 `json:"duration_ms"`
-}
-
-// journal appends records as JSONL. All writes happen while the server's
-// in-flight accounting holds the request open, so Drain's close observes
-// every admitted request already journaled; errors are sticky and
-// surfaced at close. A nil *journal (no path configured) discards.
-type journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	err error
-}
-
-func openRequestJournal(path string) (*journal, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{f: f}, nil
-}
-
-func (j *journal) append(rec journalRecord) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		j.err = err
-		return
-	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		j.err = err
-	}
-}
-
-// close syncs and closes the journal file, returning the first sticky
-// write error.
-func (j *journal) close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	switch {
-	case j.err != nil:
-		return j.err
-	case serr != nil:
-		return serr
-	default:
-		return cerr
-	}
 }

@@ -103,10 +103,10 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	runner  *exp.CellRunner
-	cache   *lru
+	cache   *LRU
 	flights *flightGroup
 	brk     *breakers
-	jnl     *journal
+	jnl     *exp.JSONLWriter[journalRecord]
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -164,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	jnl, err := openRequestJournal(cfg.Journal)
+	jnl, err := exp.OpenJSONLWriter[journalRecord](cfg.Journal)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:        cfg,
 		runner:     exp.NewCellRunner(),
-		cache:      newLRU(cfg.CacheEntries),
+		cache:      NewLRU(cfg.CacheEntries),
 		flights:    newFlightGroup(),
 		brk:        newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		jnl:        jnl,
@@ -216,7 +216,7 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r.Header.Get("X-Request-Id"), badRequest("bad cache key"))
 		return
 	}
-	if body, ok := s.cache.get(key); ok {
+	if body, ok := s.cache.Get(key); ok {
 		s.count("server/cache_export_hits")
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "export")
@@ -475,7 +475,7 @@ func cellKey(bench string, cfg core.Config, verifyFlag bool) string {
 // ("hit", "shared" or "miss").
 func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) (body []byte, cache string, rerr *reqError) {
 	key := cellKey(bench, cfg, verifyFlag)
-	if b, ok := s.cache.get(key); ok {
+	if b, ok := s.cache.Get(key); ok {
 		s.count("server/cache_hits")
 		return b, "hit", nil
 	}
@@ -501,7 +501,7 @@ func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, ve
 		}
 		body, rerr := s.compute(ctx, id, bench, cfg, verifyFlag)
 		if rerr == nil {
-			s.cache.add(key, body)
+			s.cache.Add(key, body)
 		}
 		s.flights.land(key, f, body, rerr)
 		return body, "miss", rerr
@@ -639,7 +639,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	rec := journalRecord{ID: id, Endpoint: "compile"}
 	defer func() {
 		rec.DurationMS = time.Since(start).Milliseconds()
-		s.jnl.append(rec)
+		s.jnl.Append(rec)
 	}()
 
 	var req compileRequest
@@ -704,7 +704,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	rec := journalRecord{ID: id, Endpoint: "grid"}
 	defer func() {
 		rec.DurationMS = time.Since(start).Milliseconds()
-		s.jnl.append(rec)
+		s.jnl.Append(rec)
 	}()
 
 	var req gridRequest
@@ -829,7 +829,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gw.Gauge(s.cfg.MetricsPrefix+"queue_depth", nil, int64(len(s.admit)))
 	gw.Gauge(s.cfg.MetricsPrefix+"queue_capacity", nil, int64(cap(s.admit)))
 	gw.Gauge(s.cfg.MetricsPrefix+"workers_busy", nil, int64(len(s.work)))
-	gw.Gauge(s.cfg.MetricsPrefix+"cache_entries", nil, int64(s.cache.len()))
+	gw.Gauge(s.cfg.MetricsPrefix+"cache_entries", nil, int64(s.cache.Len()))
 	gw.Gauge(s.cfg.MetricsPrefix+"draining", nil, draining)
 	poolHits, poolMisses := sim.PoolCounters()
 	gw.Gauge(s.cfg.MetricsPrefix+"machine_pool_hits", nil, poolHits)
@@ -882,7 +882,7 @@ func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 			"queue_capacity":      int64(cap(s.admit)),
 			"workers_busy":        int64(len(s.work)),
 			"workers_capacity":    int64(cap(s.work)),
-			"cache_entries":       int64(s.cache.len()),
+			"cache_entries":       int64(s.cache.Len()),
 			"draining":            draining,
 			"machine_pool_hits":   poolHits,
 			"machine_pool_misses": poolMisses,
@@ -925,6 +925,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.baseCancel()
 		<-done
 	}
-	s.closeJnl.Do(func() { s.jnlErr = s.jnl.close() })
+	s.closeJnl.Do(func() { s.jnlErr = s.jnl.Close() })
 	return s.jnlErr
 }

@@ -89,6 +89,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown bench", compileRequest{Bench: "no-such", Config: "BS"}},
 		{"bad config", compileRequest{Bench: "tomcatv", Config: "XYZ"}},
+		{"unsupported unroll factor", compileRequest{Bench: "tomcatv", Config: "BS+LU3"}},
 		{"bad json", "not an object"},
 	}
 	for _, tc := range cases {
